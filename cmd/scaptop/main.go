@@ -1,7 +1,7 @@
 // Command scaptop is a terminal viewer for a running Scap socket's debug
 // server (Handle.Serve): it polls /metrics and renders totals, per-core
-// rates, memory pressure, and the recent overload events — top(1) for the
-// capture path.
+// rates and memory pressure, then the last flight-recorder records from
+// /debug/flight as the recent overload events — top(1) for the capture path.
 //
 // Usage:
 //
@@ -21,7 +21,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -97,33 +96,51 @@ func main() {
 			fmt.Print("\x1b[2J\x1b[H") // clear screen, home cursor
 		}
 		fmt.Print(render(p))
-		// The controller line comes from its own endpoint; a server without
-		// one (older binary) just renders nothing extra.
-		if cs, err := fetchCtl(*addr); err == nil {
-			fmt.Print(renderCtlplane(cs))
+		// The other panels come from their own endpoints; one that is
+		// disabled or absent (older binary) renders nothing.
+		var fd metrics.FlightDump
+		if fetchJSON(*addr, "/debug/flight", &fd) == nil {
+			fmt.Print(renderFlight(&fd))
 		}
-		// Likewise the journal line and the history sparklines: endpoints
-		// that are disabled or absent render nothing.
-		if sd, err := fetchStreams(*addr); err == nil {
-			fmt.Print(renderStreams(sd))
+		var cs ctlplane.Snapshot
+		if fetchJSON(*addr, "/debug/ctlplane", &cs) == nil {
+			fmt.Print(renderCtlplane(&cs))
 		}
-		if hd, err := fetchHistory(*addr); err == nil {
-			fmt.Print(renderHistory(hd))
+		var sd streamscope.Dump
+		if fetchJSON(*addr, "/debug/streams", &sd) == nil {
+			fmt.Print(renderStreams(&sd))
+		}
+		var hd metrics.HistoryDump
+		if fetchJSON(*addr, "/debug/history", &hd) == nil {
+			fmt.Print(renderHistory(&hd))
 		}
 	}
 }
 
-// fetchCtl scrapes one /debug/ctlplane snapshot.
-func fetchCtl(addr string) (*ctlplane.Snapshot, error) {
-	body, err := fetchBody(addr, "/debug/ctlplane")
-	if err != nil {
-		return nil, err
+// recentFlight is how many of the newest flight records the overload block
+// shows.
+const recentFlight = 10
+
+// renderFlight formats the recent overload events block: the newest
+// flight-recorder records, oldest first, one per line.
+func renderFlight(d *metrics.FlightDump) string {
+	recs := d.Records
+	if len(recs) == 0 {
+		return ""
 	}
-	var s ctlplane.Snapshot
-	if err := json.Unmarshal(body, &s); err != nil {
-		return nil, err
+	if len(recs) > recentFlight {
+		recs = recs[len(recs)-recentFlight:]
 	}
-	return &s, nil
+	var b strings.Builder
+	fmt.Fprintf(&b, "\nrecent overload events (last %d of %d):\n", len(recs), d.Total)
+	for _, r := range recs {
+		fmt.Fprintf(&b, "  %s  %-20s core=%d value=%d", time.Unix(0, r.TimeUnixNano).Format("15:04:05.000"), r.KindName, r.Core, r.Value)
+		if r.Aux != 0 {
+			fmt.Fprintf(&b, " aux=%d", r.Aux)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // renderCtlplane formats the adaptive controller's one-line status: mode,
@@ -166,34 +183,6 @@ func renderCtlplane(s *ctlplane.Snapshot) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// fetchStreams scrapes one /debug/streams dump. A disabled scope serves
-// {"enabled": false}, which decodes to a zero Dump (Cores 0) — callers treat
-// that as nothing to render.
-func fetchStreams(addr string) (*streamscope.Dump, error) {
-	body, err := fetchBody(addr, "/debug/streams")
-	if err != nil {
-		return nil, err
-	}
-	var d streamscope.Dump
-	if err := json.Unmarshal(body, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
-
-// fetchHistory scrapes one /debug/history dump (same disabled convention).
-func fetchHistory(addr string) (*metrics.HistoryDump, error) {
-	body, err := fetchBody(addr, "/debug/history")
-	if err != nil {
-		return nil, err
-	}
-	var d metrics.HistoryDump
-	if err := json.Unmarshal(body, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }
 
 // renderStreams formats the stream-journal status line: pool population,
@@ -303,6 +292,17 @@ func fetchBody(addr, path string) ([]byte, error) {
 		return nil, fmt.Errorf("GET %s: %s", path, resp.Status)
 	}
 	return body, nil
+}
+
+// fetchJSON scrapes one debug endpoint and decodes its JSON body into v. A
+// disabled subsystem serves {"enabled": false}, which decodes to a zero
+// value that the render functions draw as nothing.
+func fetchJSON(addr, path string, v any) error {
+	body, err := fetchBody(addr, path)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, v)
 }
 
 // fetch scrapes one /metrics payload.
@@ -416,26 +416,6 @@ func render(p *metrics.Payload) string {
 
 	b.WriteString(renderDrops(p))
 
-	if len(p.Events) > 0 {
-		fmt.Fprintf(&b, "\nrecent overload events (%d):\n", len(p.Events))
-		evs := p.Events
-		if len(evs) > 10 {
-			evs = evs[len(evs)-10:]
-		}
-		// Newest last is natural for a log; keep payload (oldest-first)
-		// order but make it explicit for readers of this code.
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].TimeUnixNano < evs[j].TimeUnixNano })
-		for _, e := range evs {
-			fmt.Fprintf(&b, "  %s  %-20s core=%d", time.Unix(0, e.TimeUnixNano).Format("15:04:05.000"), e.KindName, e.Core)
-			if e.Value != 0 {
-				fmt.Fprintf(&b, " value=%d", e.Value)
-			}
-			if e.Dur != 0 {
-				fmt.Fprintf(&b, " dur=%s", time.Duration(e.Dur))
-			}
-			b.WriteByte('\n')
-		}
-	}
 	return b.String()
 }
 
@@ -565,25 +545,17 @@ func runFlightSmoke() error {
 		return err
 	}
 
-	body, err := fetchBody(srv.Addr(), "/debug/flight")
-	if err != nil {
-		return err
-	}
 	var dump metrics.FlightDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		return fmt.Errorf("parse /debug/flight: %v", err)
+	if err := fetchJSON(srv.Addr(), "/debug/flight", &dump); err != nil {
+		return fmt.Errorf("/debug/flight: %v", err)
 	}
 	if len(dump.Records) == 0 || dump.Total == 0 {
 		return fmt.Errorf("no flight records after cutoff-heavy replay: total=%d", dump.Total)
 	}
 
-	body, err = fetchBody(srv.Addr(), "/debug/flight?format=chrome")
-	if err != nil {
-		return err
-	}
 	var tr metrics.ChromeTrace
-	if err := json.Unmarshal(body, &tr); err != nil {
-		return fmt.Errorf("parse chrome trace: %v", err)
+	if err := fetchJSON(srv.Addr(), "/debug/flight?format=chrome", &tr); err != nil {
+		return fmt.Errorf("chrome trace: %v", err)
 	}
 	if tr.DisplayTimeUnit != "ms" || len(tr.TraceEvents) != len(dump.Records) {
 		return fmt.Errorf("chrome trace shape: unit=%q events=%d records=%d",
@@ -594,6 +566,7 @@ func runFlightSmoke() error {
 			return fmt.Errorf("malformed trace event: %+v", ev)
 		}
 	}
+	fmt.Print(renderFlight(&dump))
 	if err := h.Close(); err != nil {
 		return err
 	}
@@ -644,11 +617,11 @@ func runCtlplaneSmoke() error {
 
 	// The controller runs on the wall clock; give it a few intervals to
 	// observe the tail of the episode before scraping.
-	var cs *ctlplane.Snapshot
+	var cs ctlplane.Snapshot
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		cs, err = fetchCtl(srv.Addr())
-		if err != nil {
+		cs = ctlplane.Snapshot{}
+		if err := fetchJSON(srv.Addr(), "/debug/ctlplane", &cs); err != nil {
 			return err
 		}
 		if len(cs.Decisions) > 0 || time.Now().After(deadline) {
@@ -677,13 +650,9 @@ func runCtlplaneSmoke() error {
 	}
 
 	// The same decisions must be visible in the flight recorder.
-	body, err := fetchBody(srv.Addr(), "/debug/flight")
-	if err != nil {
-		return err
-	}
 	var dump metrics.FlightDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		return fmt.Errorf("parse /debug/flight: %v", err)
+	if err := fetchJSON(srv.Addr(), "/debug/flight", &dump); err != nil {
+		return fmt.Errorf("/debug/flight: %v", err)
 	}
 	var ctlRecords int
 	for _, r := range dump.Records {
@@ -694,7 +663,7 @@ func runCtlplaneSmoke() error {
 	if ctlRecords == 0 {
 		return fmt.Errorf("no ctl_* flight records among %d records", len(dump.Records))
 	}
-	fmt.Print(renderCtlplane(cs))
+	fmt.Print(renderCtlplane(&cs))
 	if err := h.Close(); err != nil {
 		return err
 	}
@@ -739,8 +708,32 @@ func runStreamsSmoke() error {
 		return err
 	}
 
-	sd, err := fetchStreams(srv.Addr())
-	if err != nil {
+	// The history ring samples on the wall clock; give it a couple of
+	// intervals so the sparklines have something to draw. Close stops it,
+	// so this wait comes first.
+	var hd metrics.HistoryDump
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		hd = metrics.HistoryDump{}
+		if err := fetchJSON(srv.Addr(), "/debug/history", &hd); err != nil {
+			return err
+		}
+		if len(hd.Points) >= 2 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if len(hd.Points) < 2 {
+		return fmt.Errorf("history ring never accumulated points")
+	}
+	// Close joins the engines, so the journal dump and its chrome export
+	// below see the same, final pool; the debug server outlives the Handle.
+	if err := h.Close(); err != nil {
+		return err
+	}
+
+	var sd streamscope.Dump
+	if err := fetchJSON(srv.Addr(), "/debug/streams", &sd); err != nil {
 		return err
 	}
 	if len(sd.Journals) == 0 || sd.Anomalies == 0 {
@@ -768,7 +761,7 @@ func runStreamsSmoke() error {
 	if err != nil {
 		return err
 	}
-	var tr streamscope.Trace
+	var tr metrics.ChromeTrace
 	if err := json.Unmarshal(body, &tr); err != nil {
 		return fmt.Errorf("parse chrome streams trace: %v", err)
 	}
@@ -798,29 +791,8 @@ func runStreamsSmoke() error {
 		fmt.Printf("streams-smoke: wrote chrome trace artifact to %s (%d bytes)\n", out, len(body))
 	}
 
-	// The history ring samples on the wall clock; give it a couple of
-	// intervals so the sparklines have something to draw.
-	var hd *metrics.HistoryDump
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		hd, err = fetchHistory(srv.Addr())
-		if err != nil {
-			return err
-		}
-		if len(hd.Points) >= 2 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if len(hd.Points) < 2 {
-		return fmt.Errorf("history ring never accumulated points")
-	}
-
-	fmt.Print(renderStreams(sd))
-	fmt.Print(renderHistory(hd))
-	if err := h.Close(); err != nil {
-		return err
-	}
+	fmt.Print(renderStreams(&sd))
+	fmt.Print(renderHistory(&hd))
 	fmt.Printf("streams-smoke OK: journals=%d (cutoff-promoted %d), chrome tracks=%d events=%d, history points=%d\n",
 		len(sd.Journals), cutoffJournals, tracks, events, len(hd.Points))
 	return nil

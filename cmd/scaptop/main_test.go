@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -43,10 +44,6 @@ const samplePayload = `{
   "drops": [
     {"name": "ppl_dropped_pkts_total", "unit": "packets", "family": "drops", "cause": "ppl", "total": 50, "per_core": [30, 20], "rate": 50, "per_core_rate": [30, 20]},
     {"name": "cutoff_pkts_total", "unit": "packets", "family": "drops", "cause": "cutoff", "total": 7, "per_core": [7, 0], "rate": 7}
-  ],
-  "events": [
-    {"kind": "ppl_enter", "time_unix_nano": 1700000000500000000, "core": 1, "value": 910},
-    {"kind": "ring_full_end", "time_unix_nano": 1700000000800000000, "core": 0, "value": 42, "dur_ns": 250000000}
   ]
 }`
 
@@ -68,9 +65,6 @@ func TestParseEndpointPayload(t *testing.T) {
 	if g := p.Gauge("memory_used_bytes"); g == nil || g.Value != 1<<20 {
 		t.Fatalf("memory gauge = %+v", g)
 	}
-	if len(p.Events) != 2 || p.Events[0].KindName != "ppl_enter" || p.Events[1].Dur != 250000000 {
-		t.Fatalf("events = %+v", p.Events)
-	}
 	if len(p.Drops) != 2 || p.Drops[0].Cause != "ppl" || p.Drops[1].Total != 7 {
 		t.Fatalf("drops table = %+v", p.Drops)
 	}
@@ -89,10 +83,6 @@ func TestRender(t *testing.T) {
 		"cores 2",
 		"packets",
 		"1000/s",
-		"ppl_enter",
-		"ring_full_end",
-		"dur=250ms",
-		"core=1 value=910",
 		"memory",
 		// Pipeline latency line: quantiles interpolated from the stage
 		// histogram; the zero-count callback histogram is skipped.
@@ -118,6 +108,54 @@ func TestRender(t *testing.T) {
 	}
 	if strings.Contains(out, "callback p50") {
 		t.Errorf("zero-count callback histogram should be skipped:\n%s", out)
+	}
+}
+
+// sampleFlight is a /debug/flight response shape: the overload-events block
+// renders its newest records.
+const sampleFlight = `{
+  "time_unix_nano": 1700000001000000000, "cores": 2, "capacity_per_core": 1024, "total_recorded": 12,
+  "records": [
+    {"seq": 1, "time_unix_nano": 1700000000100000000, "core": 0, "kind": 7, "kind_name": "nic_ring_full", "value": 512},
+    {"seq": 2, "time_unix_nano": 1700000000200000000, "core": 0, "kind": 3, "kind_name": "fdir_install", "value": 11},
+    {"seq": 3, "time_unix_nano": 1700000000300000000, "core": 0, "kind": 3, "kind_name": "fdir_install", "value": 12},
+    {"seq": 4, "time_unix_nano": 1700000000400000000, "core": 0, "kind": 3, "kind_name": "fdir_install", "value": 13},
+    {"seq": 5, "time_unix_nano": 1700000000450000000, "core": 0, "kind": 3, "kind_name": "fdir_install", "value": 14},
+    {"seq": 1, "time_unix_nano": 1700000000500000000, "core": 1, "kind": 0, "kind_name": "ppl_enter", "value": 910},
+    {"seq": 6, "time_unix_nano": 1700000000550000000, "core": 0, "kind": 4, "kind_name": "fdir_remove", "value": 11},
+    {"seq": 7, "time_unix_nano": 1700000000600000000, "core": 0, "kind": 4, "kind_name": "fdir_remove", "value": 12},
+    {"seq": 8, "time_unix_nano": 1700000000650000000, "core": 0, "kind": 6, "kind_name": "event_ring_overflow", "value": 3},
+    {"seq": 2, "time_unix_nano": 1700000000700000000, "core": 1, "kind": 1, "kind_name": "ppl_exit", "value": 200000000},
+    {"seq": 9, "time_unix_nano": 1700000000800000000, "core": 0, "kind": 8, "kind_name": "nic_ring_recover", "value": 42, "aux": 250000000},
+    {"seq": 10, "time_unix_nano": 1700000000900000000, "core": 0, "kind": 4, "kind_name": "fdir_remove", "value": 13}
+  ]
+}`
+
+func TestRenderFlight(t *testing.T) {
+	var d metrics.FlightDump
+	if err := json.Unmarshal([]byte(sampleFlight), &d); err != nil {
+		t.Fatal(err)
+	}
+	out := renderFlight(&d)
+	for _, want := range []string{
+		"recent overload events (last 10 of 12):",
+		"ppl_enter            core=1 value=910",
+		"nic_ring_recover     core=0 value=42 aux=250000000",
+		"event_ring_overflow",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("renderFlight output missing %q:\n%s", want, out)
+		}
+	}
+	// Only the newest ten records, oldest first: the two oldest drop out.
+	if strings.Contains(out, "nic_ring_full ") || strings.Contains(out, "fdir_install         core=0 value=11") {
+		t.Errorf("renderFlight kept records older than the newest ten:\n%s", out)
+	}
+	if lines := strings.Count(out, "\n  "); lines != 10 {
+		t.Errorf("renderFlight drew %d records, want 10:\n%s", lines, out)
+	}
+	if renderFlight(&metrics.FlightDump{}) != "" {
+		t.Error("an empty recorder should render nothing")
 	}
 }
 

@@ -18,9 +18,10 @@ import (
 //     offset within its struct, or atomic ops fault/tear on 32-bit
 //     platforms (typed atomic.Int64/Uint64 self-align and are exempt).
 //   - Every field of a //scap:atomics struct must be a sync/atomic type,
-//     blank padding, another //scap:atomics struct, or an array/slice of
-//     such — so "all access to this struct is atomic" stays true as
-//     fields are added.
+//     blank padding, another //scap:atomics struct, a struct from another
+//     package whose fields are all of these, or an array/slice of such —
+//     so "all access to this struct is atomic" stays true as fields are
+//     added.
 var AtomicField = &Analyzer{
 	Name:       "atomicfield",
 	Doc:        "fields accessed via sync/atomic must never be accessed plainly; 64-bit atomics must be 8-byte aligned; //scap:atomics structs stay all-atomic",
@@ -272,7 +273,9 @@ func checkAtomicsShape(p *Package, ns namedStruct, marked map[string]bool) []Dia
 
 // atomicsShapeOK reports whether t is allowed inside a //scap:atomics
 // struct: a sync/atomic named type, a same-package struct also marked
-// //scap:atomics, or an array/slice of an allowed type.
+// //scap:atomics, or an array/slice of an allowed type. A struct from
+// another package (metrics.Slot inside streamscope.Journal) is checked
+// field by field instead, since its declaration may not be loaded here.
 func atomicsShapeOK(t types.Type, p *Package, marked map[string]bool) bool {
 	switch tt := t.(type) {
 	case *types.Named:
@@ -280,10 +283,19 @@ func atomicsShapeOK(t types.Type, p *Package, marked map[string]bool) bool {
 		if obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" {
 			return true
 		}
-		if obj.Pkg() == p.Types && marked[obj.Name()] {
-			return true
+		if obj.Pkg() == p.Types {
+			return marked[obj.Name()]
 		}
-		return false
+		st, ok := tt.Underlying().(*types.Struct)
+		if !ok {
+			return false
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Name() != "_" && !atomicsShapeOK(f.Type(), p, marked) {
+				return false
+			}
+		}
+		return true
 	case *types.Array:
 		// Blank-named padding arrays are filtered before this; a named
 		// field of array type must hold allowed elements.

@@ -10,10 +10,10 @@ import (
 // MetricReg enforces the registration/update split of internal/metrics on
 // the per-packet path: functions marked //scap:hotpath may only touch the
 // metrics package through its atomic fast path (Cell.Add/Inc, Gauge.Set/
-// Add, Histogram.Observe, EventLog.Record, and the Load readers). Metric
-// registration (NewCounter, NewGauge, NewHistogram, ...) and snapshot
-// assembly take the registry mutex and allocate; both belong in setup
-// code, before the capture loop starts.
+// Add, Histogram.Observe, FlightRecorder.Note, Slot.Store, and the Load
+// readers). Metric registration (NewCounter, NewGauge, NewHistogram, ...)
+// and snapshot assembly take the registry mutex and allocate; both belong
+// in setup code, before the capture loop starts.
 var MetricReg = &Analyzer{
 	Name: "metricreg",
 	Doc:  "only atomic metrics-package operations in //scap:hotpath functions",
@@ -21,18 +21,18 @@ var MetricReg = &Analyzer{
 }
 
 // metricsFastPath is the allowlist of metrics-package operations that are
-// a single atomic op (or an edge-triggered event append) and therefore
-// safe on the per-packet path. Note is the flight recorder's fixed-size
-// no-alloc encoder; ObserveEx is Observe plus a best-effort seqlock
-// exemplar write (a few uncontended atomics, never blocking); Nanotime is
-// the alloc-free capture clock.
+// a single atomic op, or a few uncontended ones, and therefore safe on the
+// per-packet path. Note is the flight recorder's fixed-size no-alloc
+// encoder and Store the seqlock Slot publish beneath it (six atomic
+// stores); ObserveEx is Observe plus a best-effort seqlock exemplar write
+// (never blocking); Nanotime is the alloc-free capture clock.
 var metricsFastPath = map[string]bool{
 	"Add":       true,
 	"Inc":       true,
 	"Set":       true,
 	"Observe":   true,
 	"ObserveEx": true,
-	"Record":    true,
+	"Store":     true,
 	"Load":      true,
 	"Note":      true,
 	"Nanotime":  true,
@@ -60,7 +60,7 @@ func runMetricReg(p *Package) []Diagnostic {
 				return true
 			}
 			msg := fmt.Sprintf(
-				"%s: call to metrics.%s in a hot path (register metrics and take snapshots at setup; the per-packet path may only use the atomic fast path: Add/Inc/Set/Observe/ObserveEx/Record/Load/Note/Nanotime)",
+				"%s: call to metrics.%s in a hot path (register metrics and take snapshots at setup; the per-packet path may only use the atomic fast path: Add/Inc/Set/Observe/ObserveEx/Store/Load/Note/Nanotime)",
 				fname, callee)
 			if recv == "FlightRecorder" {
 				// Flight-record emission in hot-path code may only use the

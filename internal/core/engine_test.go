@@ -9,6 +9,7 @@ import (
 	"scap/internal/event"
 	"scap/internal/flowtab"
 	"scap/internal/mem"
+	"scap/internal/metrics"
 	"scap/internal/nic"
 	"scap/internal/pkt"
 	"scap/internal/reassembly"
@@ -368,6 +369,37 @@ func TestFDIRFilterTimeoutAndReinstallDoubling(t *testing.T) {
 	}
 	if st := h.e.Stats(); st.FDIRInstalled != 2 {
 		t.Errorf("FDIRInstalled = %d, want 2", st.FDIRInstalled)
+	}
+}
+
+// flightKinds counts the registry's flight records by kind name.
+func flightKinds(reg *metrics.Registry) map[string]int {
+	n := map[string]int{}
+	for _, r := range reg.Flight().Snapshot() {
+		n[r.KindName]++
+	}
+	return n
+}
+
+// TestFDIRExpiryIsFlightRecorded: a filter pair removed because its
+// deadline passed is an occurrence like a removal on termination, and must
+// show up in the flight recorder.
+func TestFDIRExpiryIsFlightRecorded(t *testing.T) {
+	dev := nic.New(nic.Config{Queues: 1})
+	reg := metrics.NewRegistry(1)
+	h := newHarnessOpts(Options{Config: Config{Cutoff: 10, UseFDIR: true, InactivityTimeout: 1e9}, NIC: dev, Metrics: NewMetrics(reg)})
+	ss := newSession(40016, 80)
+	h.feed(ss.syn(), ss.synack(), ss.data(bytes.Repeat([]byte("y"), 50)))
+	if got := flightKinds(reg); got["fdir_install"] != 1 || got["fdir_remove"] != 0 {
+		t.Fatalf("after install: flight kinds = %v", got)
+	}
+	h.ts += 2e9
+	h.e.CheckTimers(h.ts)
+	if p, _ := dev.FilterCount(); p != 0 {
+		t.Fatalf("filters not expired: %d", p)
+	}
+	if got := flightKinds(reg); got["fdir_remove"] != 1 {
+		t.Fatalf("expired filter not flight-recorded: kinds = %v", got)
 	}
 }
 

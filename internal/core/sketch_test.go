@@ -6,6 +6,7 @@ import (
 
 	"scap/internal/event"
 	"scap/internal/flowtab"
+	"scap/internal/metrics"
 	"scap/internal/nic"
 	"scap/internal/pkt"
 )
@@ -82,6 +83,7 @@ func TestSketchSuppressesBeyondCutoff(t *testing.T) {
 // re-nominates the still-untracked flow through installSketchFDIR.
 func TestSketchRetirementHandsFiltersToSketch(t *testing.T) {
 	dev := nic.New(nic.Config{Queues: 1})
+	reg := metrics.NewRegistry(1)
 	h := newHarnessOpts(Options{
 		Config: Config{
 			Cutoff:            10,
@@ -89,7 +91,8 @@ func TestSketchRetirementHandsFiltersToSketch(t *testing.T) {
 			InactivityTimeout: 1e9,
 			Sketch:            SketchConfig{Enabled: true},
 		},
-		NIC: dev,
+		NIC:     dev,
+		Metrics: NewMetrics(reg),
 	})
 	ss := newSession(42000, 80)
 	clientKey := ss.key
@@ -127,6 +130,10 @@ func TestSketchRetirementHandsFiltersToSketch(t *testing.T) {
 	}
 	if st := h.e.Stats(); st.FDIRInstalled != 2 {
 		t.Errorf("FDIRInstalled = %d, want 2 (record install + sketch install)", st.FDIRInstalled)
+	}
+	// Both installs and the expiry between them are flight-recorded.
+	if got := flightKinds(reg); got["fdir_install"] != 2 || got["fdir_remove"] != 1 {
+		t.Errorf("flight kinds = %v, want 2 fdir_install and 1 fdir_remove", got)
 	}
 
 	// The published snapshot carries the heavy entry with its FDIR mark.

@@ -9,17 +9,12 @@ import (
 // The flight recorder is the registry's always-on incident log: a fixed-size
 // per-core ring of compact binary records for notable engine decisions (PPL
 // transitions, cutoff truncation, FDIR churn, ring overflow, arena fallback,
-// stream churn under pressure). Unlike the EventLog it is written from
-// //scap:hotpath code, so the write path — Note — is a handful of atomic
-// stores on a pre-claimed slot: no locks, no allocation, no formatting.
-// Readers reconstruct a best-effort timeline on demand (/debug/flight), and
-// can export it as Chrome trace-event JSON for chrome://tracing / Perfetto.
-//
-// Each slot is a seqlock in miniature: the writer claims a per-core sequence
-// number, zeroes the slot's seq, stores the record fields, then publishes the
-// sequence. A reader accepts a slot only when seq reads the same nonzero
-// value before and after copying the fields, so a record torn by a concurrent
-// writer lapping the ring is detected and skipped rather than misreported.
+// stream churn under pressure). It is the one place an occurrence is
+// recorded, and it is written from //scap:hotpath code, so the write path —
+// Note — is a claim plus a Slot store: no locks, no allocation, no
+// formatting. Readers reconstruct a best-effort timeline on demand
+// (/debug/flight), and can export it as Chrome trace-event JSON for
+// chrome://tracing / Perfetto.
 
 // FlightKind discriminates flight-recorder records.
 type FlightKind uint8
@@ -29,8 +24,8 @@ const (
 	FlightPPLEnter       FlightKind = iota // memory crossed the PPL watermark; Value = usage per-mille
 	FlightPPLExit                          // pressure released; Value = episode duration (ns)
 	FlightCutoff                           // stream hit its cutoff; Value = stream ID, Aux = captured bytes
-	FlightFDIRInstall                      // hardware drop filter installed; Value = filter ID
-	FlightFDIRRemove                       // hardware filter removed/expired; Value = filter ID
+	FlightFDIRInstall                      // hardware drop filter installed; Value = stream ID (0 = sketch-nominated)
+	FlightFDIRRemove                       // hardware filter removed/expired; Value = stream ID (0 = sketch-nominated)
 	FlightFDIRRebalance                    // balancer redirected a flow; Value = from queue, Aux = to queue
 	FlightRingOverflow                     // event ring full, events lost; Value = events lost in the batch
 	FlightNICRingFull                      // NIC ring full episode began; Value = ring capacity
@@ -79,16 +74,50 @@ func (k FlightKind) String() string {
 // slot this is ~48 KiB per core — cheap enough to leave always on.
 const defaultFlightCap = 1024
 
-// flightSlot is one record's storage. Every field is atomic so concurrent
-// writer/reader access is race-free; seq doubles as the publication flag.
+// Slot is one fixed-size record published under a seqlock in miniature; the
+// flight recorder's per-core rings and the streamscope journals both store
+// their records in it. Every field is atomic so concurrent writer/reader
+// access is race-free, and seq doubles as the publication flag: Store zeroes
+// seq, stores the payload, then publishes the record's sequence number. Load
+// accepts a copy only when seq reads the same nonzero value before and after,
+// so a record torn by a writer lapping its ring is detected and skipped
+// rather than misreported.
 //
 //scap:atomics
-type flightSlot struct {
-	seq  atomic.Uint64 // per-core record sequence (1-based); 0 = empty or being written
-	ts   atomic.Int64  // capture-clock timestamp (unix ns)
+type Slot struct {
+	seq  atomic.Uint64 // record sequence (1-based); 0 = empty or being written
+	ts   atomic.Int64  // capture-clock timestamp (ns)
 	kind atomic.Uint64
-	val  atomic.Int64
-	aux  atomic.Int64
+	a    atomic.Int64
+	b    atomic.Int64
+}
+
+// Store publishes record seq (nonzero): six atomic stores, no locks.
+//
+//scap:hotpath
+func (s *Slot) Store(seq uint64, ts int64, kind uint64, a, b int64) {
+	s.seq.Store(0)
+	s.ts.Store(ts)
+	s.kind.Store(kind)
+	s.a.Store(a)
+	s.b.Store(b)
+	s.seq.Store(seq)
+}
+
+// Load copies the slot's record. It returns seq 0 when the slot is empty or
+// a writer tore every one of a few attempts (a slot being lapped repeatedly
+// is simply dropped).
+func (s *Slot) Load() (seq uint64, ts int64, kind uint64, a, b int64) {
+	for attempt := 0; attempt < 3; attempt++ {
+		if seq = s.seq.Load(); seq == 0 {
+			break
+		}
+		ts, kind, a, b = s.ts.Load(), s.kind.Load(), s.a.Load(), s.b.Load()
+		if s.seq.Load() == seq {
+			return seq, ts, kind, a, b
+		}
+	}
+	return 0, 0, 0, 0, 0
 }
 
 // flightRing is one core's ring. The cursor sits alone on its cache line so
@@ -99,7 +128,7 @@ type flightRing struct {
 	_     [64]byte
 	next  atomic.Uint64 // records ever claimed on this ring
 	_     [64]byte
-	slots []flightSlot
+	slots []Slot
 }
 
 // FlightRecorder is the per-core flight-recorder ring set of one registry.
@@ -124,15 +153,15 @@ func newFlightRecorder(cores, capacity int, now *func() int64) *FlightRecorder {
 		now:   now,
 	}
 	for i := range f.rings {
-		f.rings[i].slots = make([]flightSlot, capacity)
+		f.rings[i].slots = make([]Slot, capacity)
 	}
 	return f
 }
 
 // Note records one flight record on core's ring, overwriting the oldest slot
 // when the ring is full. It is the fixed-size no-alloc encoder: a claim plus
-// five atomic stores, safe from //scap:hotpath code. An out-of-range core
-// falls back to ring 0.
+// a Slot store, safe from //scap:hotpath code. An out-of-range core falls
+// back to ring 0.
 //
 //scap:hotpath
 func (f *FlightRecorder) Note(core int, kind FlightKind, value, aux int64) {
@@ -141,14 +170,12 @@ func (f *FlightRecorder) Note(core int, kind FlightKind, value, aux int64) {
 	}
 	r := &f.rings[core]
 	n := r.next.Add(1) // 1-based sequence; slot index is (n-1) & mask
-	s := &r.slots[(n-1)&f.mask]
-	s.seq.Store(0)
-	s.ts.Store((*f.now)())
-	s.kind.Store(uint64(kind))
-	s.val.Store(value)
-	s.aux.Store(aux)
-	s.seq.Store(n)
+	r.slots[(n-1)&f.mask].Store(n, (*f.now)(), uint64(kind), value, aux)
 }
+
+// Now reads the recorder's clock (the registry clock), for callers that
+// keep episode bookkeeping on the same timeline as their records.
+func (f *FlightRecorder) Now() int64 { return (*f.now)() }
 
 // FlightRecord is one decoded flight-recorder record.
 type FlightRecord struct {
@@ -168,29 +195,19 @@ func (f *FlightRecorder) Snapshot() []FlightRecord {
 	for core := range f.rings {
 		r := &f.rings[core]
 		for i := range r.slots {
-			s := &r.slots[i]
-			// A couple of retries ride out a writer mid-store; a slot
-			// being lapped repeatedly is simply dropped.
-			for attempt := 0; attempt < 3; attempt++ {
-				n := s.seq.Load()
-				if n == 0 {
-					break
-				}
-				rec := FlightRecord{
-					Seq:          n,
-					TimeUnixNano: s.ts.Load(),
-					Core:         core,
-					Kind:         FlightKind(s.kind.Load()),
-					Value:        s.val.Load(),
-					Aux:          s.aux.Load(),
-				}
-				if s.seq.Load() != n {
-					continue
-				}
-				rec.KindName = rec.Kind.String()
-				out = append(out, rec)
-				break
+			n, ts, kind, val, aux := r.slots[i].Load()
+			if n == 0 {
+				continue
 			}
+			out = append(out, FlightRecord{
+				Seq:          n,
+				TimeUnixNano: ts,
+				Core:         core,
+				Kind:         FlightKind(kind),
+				KindName:     FlightKind(kind).String(),
+				Value:        val,
+				Aux:          aux,
+			})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -236,17 +253,19 @@ func (f *FlightRecorder) Dump() FlightDump {
 }
 
 // ChromeTraceEvent is one event of the Chrome trace-event format
-// (chrome://tracing, Perfetto). Timestamps and durations are microseconds.
+// (chrome://tracing, Perfetto), shared by the flight export and the
+// streamscope per-stream tracks. Timestamps and durations are microseconds;
+// Args holds numbers, or strings in thread-name metadata.
 type ChromeTraceEvent struct {
-	Name  string           `json:"name"`
-	Cat   string           `json:"cat"`
-	Ph    string           `json:"ph"`
-	TS    float64          `json:"ts"`
-	Dur   float64          `json:"dur,omitempty"`
-	PID   int              `json:"pid"`
-	TID   int              `json:"tid"`
-	Scope string           `json:"s,omitempty"`
-	Args  map[string]int64 `json:"args,omitempty"`
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat"`
+	Ph    string         `json:"ph"`
+	TS    float64        `json:"ts"`
+	Dur   float64        `json:"dur,omitempty"`
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Scope string         `json:"s,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
 }
 
 // ChromeTrace is the JSON-object form of the trace-event format.
@@ -277,7 +296,7 @@ func ChromeTraceFromRecords(recs []FlightRecord) ChromeTrace {
 			Name: r.KindName,
 			Cat:  "flight",
 			TID:  r.Core,
-			Args: map[string]int64{"value": r.Value, "aux": r.Aux, "seq": int64(r.Seq)},
+			Args: map[string]any{"value": r.Value, "aux": r.Aux, "seq": int64(r.Seq)},
 		}
 		if r.Kind == FlightPPLExit && r.Value > 0 {
 			// Value is the episode duration: render the whole episode as a

@@ -12,7 +12,6 @@ type Payload struct {
 	Counters      []CounterPayload `json:"counters"`
 	Gauges        []GaugeSnap      `json:"gauges"`
 	Histograms    []HistogramSnap  `json:"histograms"`
-	Events        []Event          `json:"events"`
 	// Drops is the drop-attribution table: every counter registered with
 	// Family "drops", one row per cause, duplicated out of Counters so
 	// consumers can render the table without knowing the cause set.

@@ -31,7 +31,6 @@ func goldenPayload() Payload {
 	h.Observe(0, 1)
 	h.Observe(1, 3)
 	h.Observe(0, 9)
-	r.Events().Record(Event{Kind: EvPPLEnter, Core: 1, Value: 850})
 	clock += 1_000_000_000
 	return w.Collect()
 }
@@ -80,9 +79,6 @@ func TestParsePayloadRoundTrip(t *testing.T) {
 	}
 	if gv := back.Gauge("memory_used_bytes"); gv == nil || gv.Value != 1<<20 {
 		t.Fatalf("gauge = %+v", gv)
-	}
-	if len(back.Events) != 1 || back.Events[0].KindName != "ppl_enter" || back.Events[0].Value != 850 {
-		t.Fatalf("events = %+v", back.Events)
 	}
 	if back.Counter("nope") != nil || back.Gauge("nope") != nil {
 		t.Fatal("lookup of absent metric should return nil")

@@ -1,8 +1,9 @@
 // Package metrics is the capture path's observability substrate: a
 // dependency-free registry of live counters, gauges, and histograms that the
 // hot path can update with single uncontended atomic operations while any
-// goroutine assembles consistent-enough snapshots, windowed rates, and typed
-// overload events without stalling it.
+// goroutine assembles consistent-enough snapshots and windowed rates without
+// stalling it. Occurrences (overload edges, cutoffs, FDIR churn, controller
+// decisions) go to the lock-free flight recorder (flight.go).
 //
 // The design splits every instrument into a registration-time half and an
 // update-time half:
@@ -175,7 +176,6 @@ type Registry struct {
 	gauges   []*Gauge
 	fgs      []*funcGauge
 	hists    []*Histogram
-	events   *EventLog
 	flight   *FlightRecorder
 }
 
@@ -194,13 +194,12 @@ func NewRegistry(cores int) *Registry {
 	for i := range r.slabs {
 		r.slabs[i] = make([]Cell, slabSlots)
 	}
-	r.events = newEventLog(defaultEventCap, &r.now)
 	r.flight = newFlightRecorder(cores, defaultFlightCap, &r.now)
 	return r
 }
 
 // SetClock replaces the wall clock (unix nanoseconds) used to stamp
-// snapshots and events — tests inject a synthetic clock here. Call it before
+// snapshots and flight records — tests inject a synthetic clock here. Call it before
 // the registry is shared.
 func (r *Registry) SetClock(now func() int64) { r.now = now }
 
@@ -283,9 +282,6 @@ func (r *Registry) NewHistogram(d Desc, maxPow int) *Histogram {
 	return h
 }
 
-// Events returns the registry's overload event log.
-func (r *Registry) Events() *EventLog { return r.events }
-
 // Flight returns the registry's flight recorder. Bind it once at setup; the
 // only method safe on the per-packet path is FlightRecorder.Note.
 func (r *Registry) Flight() *FlightRecorder { return r.flight }
@@ -312,11 +308,10 @@ type Snapshot struct {
 	Counters     []CounterSnap   `json:"counters"`
 	Gauges       []GaugeSnap     `json:"gauges"`
 	Histograms   []HistogramSnap `json:"histograms"`
-	Events       []Event         `json:"events"`
 }
 
 // Snapshot collects the current value of every metric, in registration
-// order, plus the buffered overload events (oldest first).
+// order.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -345,7 +340,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, h := range r.hists {
 		s.Histograms = append(s.Histograms, h.snapshot())
 	}
-	s.Events = r.events.Snapshot()
 	return s
 }
 

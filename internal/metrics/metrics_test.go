@@ -38,8 +38,8 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 	r.NewGauge(Desc{Name: "x"})
 }
 
-// TestRegistryConcurrency hammers cells, gauges, histograms, and the event
-// log from many goroutines while another takes snapshots; the -race run is
+// TestRegistryConcurrency hammers cells, gauges, histograms, and the flight
+// recorder from many goroutines while another takes snapshots; the -race run is
 // the real assertion.
 func TestRegistryConcurrency(t *testing.T) {
 	const cores = 4
@@ -59,7 +59,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				g.Add(1)
 				h.Observe(core, uint64(i%300))
 				if i%512 == 0 {
-					r.Events().Record(Event{Kind: EvRingFull, Core: core})
+					r.Flight().Note(core, FlightNICRingFull, 0, 0)
 				}
 			}
 		}(core)
@@ -116,45 +116,25 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestEventLogWraparound(t *testing.T) {
-	clock := int64(0)
-	now := func() int64 { clock++; return clock }
-	l := newEventLog(4, &now)
-	for i := 0; i < 10; i++ {
-		l.Record(Event{Kind: EvFDIRInstall, Value: int64(i)})
-	}
-	if l.Total() != 10 {
-		t.Fatalf("total = %d, want 10", l.Total())
-	}
-	evs := l.Snapshot()
-	if len(evs) != 4 {
-		t.Fatalf("snapshot len = %d, want 4", len(evs))
-	}
-	for i, e := range evs {
-		if want := int64(6 + i); e.Value != want {
-			t.Fatalf("event %d value = %d, want %d (oldest-first order)", i, e.Value, want)
-		}
-		if e.KindName != "fdir_install" {
-			t.Fatalf("kind name = %q", e.KindName)
-		}
-		if e.TimeUnixNano == 0 {
-			t.Fatal("event not timestamped")
-		}
-	}
-}
-
-func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EvPPLEnter, EvPPLExit, EvRingFull, EvRingFullEnd,
-		EvEventRingOverflow, EvFDIRInstall, EvFDIRRemove}
+// TestFlightKindStrings: every flight kind has a unique wire name, and
+// every overload occurrence kind the capture path records (PPL edges, NIC
+// ring-full episodes, event-ring overflow, FDIR churn) is among them.
+func TestFlightKindStrings(t *testing.T) {
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for k := FlightKind(0); int(k) < len(flightKindNames); k++ {
 		s := k.String()
 		if s == "" || s == "unknown" || seen[s] {
 			t.Fatalf("kind %d has bad or duplicate name %q", k, s)
 		}
 		seen[s] = true
 	}
-	if EventKind(200).String() != "unknown" {
+	for _, name := range []string{"ppl_enter", "ppl_exit", "nic_ring_full", "nic_ring_recover",
+		"event_ring_overflow", "fdir_install", "fdir_remove"} {
+		if !seen[name] {
+			t.Errorf("no flight kind named %q", name)
+		}
+	}
+	if FlightKind(200).String() != "unknown" {
 		t.Fatal("out-of-range kind should stringify as unknown")
 	}
 }

@@ -33,7 +33,6 @@ func (w *Window) Collect() Payload {
 		Cores:        w.reg.Cores(),
 		Gauges:       cur.Gauges,
 		Histograms:   cur.Histograms,
-		Events:       cur.Events,
 	}
 	var dt float64 // seconds
 	if w.ok && cur.TimeUnixNano > w.prev.TimeUnixNano {

@@ -1,6 +1,10 @@
 package streamscope
 
-import "time"
+import (
+	"time"
+
+	"scap/internal/metrics"
+)
 
 // Chrome trace-event export: each journaled stream becomes one named track
 // (thread) so a /debug/streams?format=chrome dump opens in Perfetto or
@@ -8,32 +12,11 @@ import "time"
 // Chunk flushes carry their age as a duration and render as complete ("X")
 // spans ending at the flush; everything else is an instant ("i") event.
 
-// TraceEvent is one event of the Chrome trace-event format. It mirrors
-// metrics.ChromeTraceEvent but allows string args (the stream key) in
-// thread-name metadata.
-type TraceEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat"`
-	Ph    string         `json:"ph"`
-	TS    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// Trace is the JSON-object form of the trace-event format.
-type Trace struct {
-	TraceEvents     []TraceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
 // ChromeTrace converts a set of journal snapshots into a Chrome trace with
 // one named track per journal. Timestamps are rebased to the earliest event
 // so the trace starts at zero regardless of the capture clock's epoch.
-func ChromeTrace(snaps []JournalSnap) Trace {
-	tr := Trace{DisplayTimeUnit: "ms", TraceEvents: []TraceEvent{}}
+func ChromeTrace(snaps []JournalSnap) metrics.ChromeTrace {
+	tr := metrics.ChromeTrace{DisplayTimeUnit: "ms", TraceEvents: []metrics.ChromeTraceEvent{}}
 	base := int64(0)
 	have := false
 	for _, js := range snaps {
@@ -54,14 +37,14 @@ func ChromeTrace(snaps []JournalSnap) Trace {
 		if js.AnomalyMask != 0 {
 			name += " [anomaly]"
 		}
-		tr.TraceEvents = append(tr.TraceEvents, TraceEvent{
+		tr.TraceEvents = append(tr.TraceEvents, metrics.ChromeTraceEvent{
 			Name: "thread_name",
 			Ph:   "M",
 			TID:  tid,
 			Args: map[string]any{"name": name},
 		})
 		for _, ev := range js.Events {
-			te := TraceEvent{
+			te := metrics.ChromeTraceEvent{
 				Name: ev.KindName,
 				Cat:  "stream",
 				TID:  tid,

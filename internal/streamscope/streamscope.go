@@ -1,8 +1,8 @@
 // Package streamscope keeps sampled per-stream lifecycle journals: a small,
 // fixed pool of alloc-free event rings, one per journaled stream, recording
 // the stream's life (created → first payload → chunk flushes with latencies →
-// gaps/overlaps → cutoff/expiry cause) via the same seqlock-slot discipline
-// as the flight recorder.
+// gaps/overlaps → cutoff/expiry cause) in the same seqlock slots
+// (metrics.Slot) as the flight recorder.
 //
 // Two populations land in the pool:
 //
@@ -29,6 +29,7 @@ import (
 	"net/netip"
 	"sync/atomic"
 
+	"scap/internal/metrics"
 	"scap/internal/pkt"
 )
 
@@ -95,26 +96,16 @@ func AnomalyNames(mask uint64) []string {
 	return out
 }
 
-// slotsPerJournal is each journal's event capacity (power of two). A stream's
-// early life (created, first payload) stays resident because slots 0..1 are
-// written once; later events wrap within the remaining ring.
+// slotsPerJournal is each journal's event capacity (power of two): a journal
+// keeps its stream's newest 32 events.
 const slotsPerJournal = 32
-
-// slot is one journal event's storage, a seqlock in miniature exactly like
-// the flight recorder's: seq doubles as the publication flag.
-//
-//scap:atomics
-type slot struct {
-	seq  atomic.Uint64 // per-journal event sequence (1-based); 0 = empty or mid-write
-	ts   atomic.Int64  // capture-clock timestamp (virtual ns)
-	kind atomic.Uint64
-	a    atomic.Int64
-	b    atomic.Int64
-}
 
 // Journal is one stream's event ring plus its identity. Identity fields are
 // guarded by gen (a journal-level seqlock): Acquire bumps gen to an odd value,
-// rewrites identity, then publishes the next even value. The engine keeps the
+// rewrites identity, then publishes the next even value. Slot sequence
+// numbers keep counting across occupants and base marks where the current
+// stream's events begin, so rebinding never clears the ring: a slot whose
+// seq is at or below base belongs to an earlier stream. The engine keeps the
 // even gen it observed at bind time and drops writes if the journal was
 // rebound to a newer stream meanwhile — exact, not best-effort, because the
 // pool is per-core and rebinding happens on the same goroutine that writes.
@@ -131,8 +122,9 @@ type Journal struct {
 	created      atomic.Int64  // stream creation timestamp (virtual ns)
 	anom         atomic.Uint64 // anomaly bitmask; nonzero pins the journal
 	sampled      atomic.Uint64 // 1 = picked by the sampler, 0 = anomaly promotion
-	next         atomic.Uint64 // events ever claimed on this journal
-	slots        [slotsPerJournal]slot
+	base         atomic.Uint64 // next at bind time
+	next         atomic.Uint64 // events ever claimed on this journal, across occupants
+	slots        [slotsPerJournal]metrics.Slot
 }
 
 // Gen returns the journal's current identity generation (even when stable).
@@ -141,19 +133,13 @@ func (j *Journal) Gen() uint64 { return j.gen.Load() }
 // Anomalous reports whether the journal's stream has hit any anomaly.
 func (j *Journal) Anomalous() bool { return j.anom.Load() != 0 }
 
-// Note records one event: a claim plus a handful of atomic stores on a
-// pre-claimed slot. Caller must be the journal's owning engine goroutine.
+// Note records one event: a claim plus a Slot store. Caller must be the
+// journal's owning engine goroutine.
 //
 //scap:hotpath
 func (j *Journal) Note(kind EventKind, ts int64, a, b int64) {
 	n := j.next.Add(1) // 1-based sequence; slot index is (n-1) & mask
-	s := &j.slots[(n-1)&(slotsPerJournal-1)]
-	s.seq.Store(0)
-	s.ts.Store(ts)
-	s.kind.Store(uint64(kind))
-	s.a.Store(a)
-	s.b.Store(b)
-	s.seq.Store(n)
+	j.slots[(n-1)&(slotsPerJournal-1)].Store(n, ts, uint64(kind), a, b)
 }
 
 // NoteAnomaly sets an anomaly bit and records the matching event. The
@@ -349,10 +335,7 @@ func (s *Scope) Acquire(core int, b Binding) (*Journal, uint64) {
 	} else {
 		j.sampled.Store(0)
 	}
-	j.next.Store(0)
-	for i := range j.slots {
-		j.slots[i].seq.Store(0)
-	}
+	j.base.Store(j.next.Load())
 	gen := j.gen.Add(1) // even: published
 	return j, gen
 }
@@ -446,8 +429,9 @@ func snapJournal(j *Journal, core, idx int) (JournalSnap, bool) {
 			CreatedNano: j.created.Load(),
 			Sampled:     j.sampled.Load() == 1,
 			AnomalyMask: j.anom.Load(),
-			TotalEvents: j.next.Load(),
 		}
+		base := j.base.Load()
+		js.TotalEvents = j.next.Load() - base
 		meta := j.meta.Load()
 		var src, dst [16]byte
 		putBeUint64(src[:8], j.srcHi.Load())
@@ -464,26 +448,18 @@ func snapJournal(j *Journal, core, idx int) (JournalSnap, bool) {
 		js.Anomalies = AnomalyNames(js.AnomalyMask)
 
 		for i := range j.slots {
-			sl := &j.slots[i]
-			for sa := 0; sa < 3; sa++ {
-				n := sl.seq.Load()
-				if n == 0 {
-					break
-				}
-				ev := JournalEvent{
-					Seq:          n,
-					TimeUnixNano: sl.ts.Load(),
-					Kind:         EventKind(sl.kind.Load()),
-					A:            sl.a.Load(),
-					B:            sl.b.Load(),
-				}
-				if sl.seq.Load() != n {
-					continue
-				}
-				ev.KindName = ev.Kind.String()
-				js.Events = append(js.Events, ev)
-				break
+			n, ts, kind, a, b := j.slots[i].Load()
+			if n <= base {
+				continue // empty, torn, or an earlier stream's event
 			}
+			js.Events = append(js.Events, JournalEvent{
+				Seq:          n - base,
+				TimeUnixNano: ts,
+				Kind:         EventKind(kind),
+				KindName:     EventKind(kind).String(),
+				A:            a,
+				B:            b,
+			})
 		}
 		if j.gen.Load() != g {
 			continue

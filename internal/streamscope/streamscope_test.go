@@ -93,7 +93,10 @@ func TestIPv6Key(t *testing.T) {
 func TestRebindDiscardsHistory(t *testing.T) {
 	s := testScope(t)
 	j1, gen1 := s.Acquire(0, Binding{ID: 1, Key: testKey(), Created: 10, Sampled: true})
-	j1.Note(EvCreated, 10, 0, 0)
+	// Fill every slot, so each one holds a stale record after the rebind.
+	for i := 0; i < slotsPerJournal+5; i++ {
+		j1.Note(EvCreated, 10, 0, 0)
+	}
 	// Wrap the whole pool so journal 0 is rebound.
 	var last *Journal
 	var lastGen uint64
@@ -113,13 +116,24 @@ func TestRebindDiscardsHistory(t *testing.T) {
 	if gen1 == j1.Gen() {
 		t.Fatal("stale gen must not match")
 	}
+	last.Note(EvFirstPayload, 30, 100, 0)
+	last.Note(EvClose, 40, 0, 100)
 	snaps := s.Snapshot()
 	for _, js := range snaps {
 		if js.StreamID == 1 {
 			t.Fatal("rebound journal still reports the old stream")
 		}
-		if js.TotalEvents != 0 {
-			t.Fatalf("rebound journal %d kept %d events", js.StreamID, js.TotalEvents)
+		want := 0
+		if js.StreamID == 107 {
+			want = 2
+		}
+		if js.TotalEvents != uint64(want) || len(js.Events) != want {
+			t.Fatalf("journal %d: total %d, decoded %+v; want %d events of its own", js.StreamID, js.TotalEvents, js.Events, want)
+		}
+		for i, ev := range js.Events {
+			if ev.Seq != uint64(i+1) || ev.Kind == EvCreated {
+				t.Fatalf("journal %d event %d = %+v: stale or misnumbered", js.StreamID, i, ev)
+			}
 		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 // exercises the cross-goroutine snapshot paths — Engine.Stats (atomic
 // counters), NIC.Stats (mutex), and the memory manager — and fails if any
 // of them regresses to an unsynchronized read (e.g. reverting Engine.Stats
-// to `return e.stats` with plain counter fields).
+// to `return e.stats` with plain counter fields). Each poller also checks
+// that the monotone counters never go backwards between its successive
+// snapshots, which a torn or misattributed read would break.
 func TestGetStatsDuringInjection(t *testing.T) {
 	h, err := Create(Config{Queues: 2, UseFDIR: true})
 	if err != nil {
@@ -31,6 +33,7 @@ func TestGetStatsDuringInjection(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var prev Stats
 			for {
 				select {
 				case <-done:
@@ -42,10 +45,12 @@ func TestGetStatsDuringInjection(t *testing.T) {
 					t.Errorf("GetStats: %v", err)
 					return
 				}
-				if st.Packets > 0 && st.PayloadBytes == 0 {
-					t.Error("packets counted but no payload bytes")
+				if st.Packets < prev.Packets || st.PayloadBytes < prev.PayloadBytes || st.FramesReceived < prev.FramesReceived {
+					t.Errorf("counters went backwards: packets %d→%d, payload %d→%d, frames %d→%d",
+						prev.Packets, st.Packets, prev.PayloadBytes, st.PayloadBytes, prev.FramesReceived, st.FramesReceived)
 					return
 				}
+				prev = st
 				time.Sleep(100 * time.Microsecond)
 			}
 		}()

@@ -170,14 +170,15 @@ func (s *DebugServer) handleCtlplane(rw http.ResponseWriter, req *http.Request) 
 //
 //   - /metrics — the metrics registry as JSON: every counter with its total
 //     and per-core values, per-second rates windowed between scrapes,
-//     gauges, histograms with exemplars, and the recent overload events
-//     (PPL pressure episodes, ring-full episodes, FDIR churn).
+//     gauges, histograms with exemplars, and the drop-attribution table.
+//     Overload occurrences are not here but in /debug/flight.
 //     /metrics?format=prom returns the same registry as OpenMetrics text
 //     exposition for Prometheus-compatible scrapers.
-//   - /debug/flight — the flight recorder's per-core decision records as
-//     JSON (oldest first); /debug/flight?format=chrome returns the same
-//     records as Chrome trace-event JSON, loadable in chrome://tracing or
-//     Perfetto (ui.perfetto.dev).
+//   - /debug/flight — the flight recorder's per-core records as JSON (oldest
+//     first): every overload occurrence and engine or controller decision.
+//     /debug/flight?format=chrome returns the same records as Chrome
+//     trace-event JSON, loadable in chrome://tracing or Perfetto
+//     (ui.perfetto.dev).
 //   - /debug/streams — the sampled per-stream lifecycle journals: every
 //     Nth stream plus every anomalous stream, each with its recent
 //     lifecycle events (creation, first payload, chunk flushes, gaps,

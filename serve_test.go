@@ -404,6 +404,11 @@ func TestServeStreamsEndpoint(t *testing.T) {
 	if err := h.ReplaySource(smallGen(13, 50), 1e9); err != nil {
 		t.Fatal(err)
 	}
+	// Close joins the engines, so the dump and the chrome export below see
+	// the same journal pool; the debug server keeps serving after Close.
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	var dump streamscope.Dump
 	if err := json.Unmarshal(getBody(t, "http://"+srv.Addr()+"/debug/streams"), &dump); err != nil {
@@ -446,7 +451,7 @@ func TestServeStreamsEndpoint(t *testing.T) {
 		t.Fatalf("cutoff journal has no cutoff event: %+v", cutoffJournal.Events)
 	}
 
-	var tr streamscope.Trace
+	var tr metrics.ChromeTrace
 	if err := json.Unmarshal(getBody(t, "http://"+srv.Addr()+"/debug/streams?format=chrome"), &tr); err != nil {
 		t.Fatalf("parse chrome streams trace: %v", err)
 	}
@@ -585,6 +590,11 @@ func TestServeExemplarSurfaces(t *testing.T) {
 	}
 	defer srv.Close()
 	if err := h.ReplaySource(smallGen(17, 40), 1e9); err != nil {
+		t.Fatal(err)
+	}
+	// Close joins the engines and workers: every chunk has been delivered
+	// and observed before the scrape.
+	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
 
