@@ -2,7 +2,6 @@ package scap
 
 import (
 	"fmt"
-	"sync"
 
 	"scap/internal/bpf"
 	"scap/internal/pkt"
@@ -29,12 +28,6 @@ type App struct {
 	onCreate Handler
 	onData   Handler
 	onClose  Handler
-
-	// delivered tracks per-stream bytes handed to this app, enforcing the
-	// app cutoff at delivery. Guarded by mu: streams from different
-	// worker goroutines may land here.
-	mu        sync.Mutex
-	delivered map[uint64]int64
 }
 
 // NewApp registers a new application on the socket.
@@ -42,7 +35,7 @@ func (h *Handle) NewApp(name string) (*App, error) {
 	if h.started {
 		return nil, ErrStarted
 	}
-	a := &App{h: h, name: name, cutoff: CutoffUnlimited, delivered: make(map[uint64]int64)}
+	a := &App{h: h, name: name, cutoff: CutoffUnlimited}
 	h.apps = append(h.apps, a)
 	return a, nil
 }
@@ -60,8 +53,11 @@ func (a *App) SetFilter(expr string) error {
 	return nil
 }
 
-// SetCutoff bounds how much of each stream this app receives. The capture
-// core keeps collecting up to the largest cutoff any app requested.
+// SetCutoff bounds how much of each stream this app receives. The cutoff is
+// a stream position: the app gets the bytes before it, however they are
+// chunked — with a chunk overlap, the repeated prefix of a chunk does not
+// count twice. The capture core keeps collecting up to the largest cutoff
+// any app requested.
 func (a *App) SetCutoff(cutoff int64) error {
 	if a.h.started {
 		return ErrStarted
@@ -175,9 +171,6 @@ func (h *Handle) dispatchApps(kind appEventKind, sd *Stream) {
 		case appEvData:
 			a.deliver(sd, a.onData)
 		case appEvTermination:
-			a.mu.Lock()
-			delete(a.delivered, sd.ID())
-			a.mu.Unlock()
 			if a.onClose != nil {
 				a.onClose(sd)
 			}
@@ -185,25 +178,22 @@ func (h *Handle) dispatchApps(kind appEventKind, sd *Stream) {
 	}
 }
 
-// deliver applies the app's own cutoff to a data event and invokes fn.
+// deliver applies the app's own cutoff to a data event and invokes fn. A
+// data event's bytes end at the stream's captured-byte count, so the part
+// below the cutoff follows from the event alone.
 func (a *App) deliver(sd *Stream, fn Handler) {
 	if fn == nil {
 		return
 	}
 	data := sd.Data
 	if a.cutoff >= 0 {
-		a.mu.Lock()
-		seen := a.delivered[sd.ID()]
-		remain := a.cutoff - seen
-		if remain <= 0 {
-			a.mu.Unlock()
+		start := int64(sd.info.Stats.CapturedBytes) - int64(len(data))
+		if start >= a.cutoff {
 			return
 		}
-		if int64(len(data)) > remain {
-			data = data[:remain]
+		if end := a.cutoff - start; int64(len(data)) > end {
+			data = data[:end]
 		}
-		a.delivered[sd.ID()] = seen + int64(len(data))
-		a.mu.Unlock()
 	}
 	// Hand the app a view with its truncated data; other fields shared.
 	view := *sd

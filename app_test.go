@@ -1,6 +1,8 @@
 package scap
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -108,6 +110,81 @@ func TestMultipleApplicationsShareCapture(t *testing.T) {
 	stats, _ := h.GetStats()
 	if stats.Packets == 0 {
 		t.Error("no packets processed")
+	}
+}
+
+// TestAppCutoffByStreamPosition checks that an app cutoff is a stream
+// position: with 256-byte chunks and a 32-byte overlap, an app with cutoff
+// 300 receives exactly stream bytes [0, 300) — the overlap tail repeated at
+// the head of each chunk does not count against the cutoff twice — while an
+// uncut app on the same socket receives the whole stream.
+func TestAppCutoffByStreamPosition(t *testing.T) {
+	h, err := Create(Config{Queues: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetParameter(ParamChunkSize, 256)
+	h.SetParameter(ParamOverlapSize, 32)
+	stream := randomPayload(7, 2000)
+	var mu sync.Mutex
+	// covered[name][i] counts deliveries of stream byte i to that app.
+	covered := map[string][]int{}
+	var bad []string
+	for _, cfg := range []struct {
+		name   string
+		cutoff int64
+	}{{"cut300", 300}, {"uncut", CutoffUnlimited}} {
+		a, err := h.NewApp(cfg.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.SetCutoff(cfg.cutoff); err != nil {
+			t.Fatal(err)
+		}
+		cov := make([]int, len(stream))
+		covered[cfg.name] = cov
+		a.DispatchData(func(sd *Stream) {
+			mu.Lock()
+			defer mu.Unlock()
+			if sd.Key().DstPort != 80 {
+				return
+			}
+			off := bytes.Index(stream, sd.Data)
+			if len(sd.Data) == 0 || off < 0 {
+				bad = append(bad, fmt.Sprintf("%s: %d delivered bytes are not a slice of the stream", a.Name(), len(sd.Data)))
+				return
+			}
+			for i := off; i < off+len(sd.Data); i++ {
+				cov[i]++
+			}
+		})
+	}
+	if err := h.StartCapture(); err != nil {
+		t.Fatal(err)
+	}
+	injectClientStream(t, h, 41001, stream)
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, b := range bad {
+		t.Error(b)
+	}
+	for name, want := range map[string]int{"cut300": 300, "uncut": len(stream)} {
+		got := 0
+		for got < len(stream) && covered[name][got] > 0 {
+			got++
+		}
+		extra := 0
+		for _, n := range covered[name][got:] {
+			if n > 0 {
+				extra++
+			}
+		}
+		if got != want || extra != 0 {
+			t.Errorf("%s received stream bytes [0, %d) plus %d bytes beyond, want exactly [0, %d)", name, got, extra, want)
+		}
 	}
 }
 

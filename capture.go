@@ -356,28 +356,36 @@ func (c *captureState) dispatch(eng *core.Engine, ev *event.Event, ws *workerSta
 	}
 }
 
-// mergeKept appends a data event's bytes onto the kept chunk in place: into
-// the kept block's free room when they fit (blocks are sized with headroom
-// above the chunk size for exactly this), spilling the merge onto the heap
-// only when it outgrows the block. The event's own block is returned once
+// mergeKept appends a data event's new bytes onto the kept chunk in place:
+// into the kept block's free room when they fit (blocks are sized with
+// headroom above the chunk size for exactly this), spilling the merge onto
+// the heap only when it outgrows the block. Only the event's charged bytes
+// are new: its uncharged prefix is the overlap tail it was seeded with,
+// which the kept chunk already ends in. The event's packet records are
+// rebased onto the merged bytes. The event's own block is returned once
 // its bytes are copied out; the combined charge rides the merged chunk.
 func (c *captureState) mergeKept(ws *workerState, k keptChunk, ev *event.Event) keptChunk {
-	if m := len(ev.Data); m > 0 {
-		n := len(k.data)
+	overlap := len(ev.Data) - ev.Accounted
+	shift := int32(len(k.data) - overlap)
+	for i := range ev.Pkts {
+		ev.Pkts[i].Off += shift
+	}
+	if fresh := ev.Data[overlap:]; len(fresh) > 0 {
+		n, m := len(k.data), len(fresh)
 		if k.blk != mem.NoBlock {
 			if store := c.h.mm.BlockBytes(k.blk); n+m <= len(store) {
 				k.data = store[:n+m]
-				copy(k.data[n:], ev.Data)
+				copy(k.data[n:], fresh)
 			} else {
 				grown := make([]byte, n+m)
 				copy(grown, k.data)
-				copy(grown[n:], ev.Data)
+				copy(grown[n:], fresh)
 				c.returnBlock(ws, k.core, k.blk)
 				k.blk = mem.NoBlock
 				k.data = grown
 			}
 		} else {
-			k.data = append(k.data, ev.Data...)
+			k.data = append(k.data, fresh...)
 		}
 	}
 	k.acct += ev.Accounted

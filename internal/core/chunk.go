@@ -51,7 +51,6 @@ type chunkState struct {
 	blk        mem.Handle // the arena block backing buf
 	size       int        // the chunk's byte bound (stream chunk size, capped by the block)
 	overlapLen int        // prefix carried from the previous chunk (not re-accounted)
-	extraAcct  int        // accounted bytes adopted back via KeepChunk
 	holeBefore bool
 	firstTS    int64 // timestamp of the first byte (flush timeout anchor)
 	pkts       []event.PacketRecord
@@ -62,7 +61,7 @@ func (c *chunkState) fill() int { return len(c.buf) }
 
 // accounted returns how many of the chunk's bytes are charged to the
 // memory budget.
-func (c *chunkState) accounted() int { return len(c.buf) - c.overlapLen + c.extraAcct }
+func (c *chunkState) accounted() int { return len(c.buf) - c.overlapLen }
 
 // room returns how many bytes the chunk may still take.
 func (c *chunkState) room() int { return c.size - len(c.buf) }
@@ -124,10 +123,12 @@ func (e *Engine) newChunkBuf(s *flowtab.Stream, x *streamExt, prev []byte, ts in
 	return c
 }
 
-// heapChunkStore allocates the arena-exhaustion fallback buffer. Cold by
-// construction: it runs only when every block is pinned by a concurrent
-// stream, and the counter makes that visible so the operator can raise
-// MemorySize (or shrink chunks) instead.
+// heapChunkStore allocates the arena-exhaustion fallback buffer. It runs
+// whenever every block is pinned by an in-flight chunk — many concurrent
+// streams each holding a part-filled block, which the byte accountant does
+// not see — and that is not rare: the paper-figure replays take it
+// routinely (DESIGN.md §10). The counter makes it visible so the operator
+// can raise MemorySize (or shrink chunks).
 func (e *Engine) heapChunkStore(size int) []byte {
 	e.c.arenaExhausted.Add(1)
 	e.m.flight.Note(e.coreID, metrics.FlightArenaFallback, int64(size), 0)

@@ -156,28 +156,3 @@ func TestPriorityClassAppliesAtCreation(t *testing.T) {
 		t.Errorf("web stream priority = %+v", s)
 	}
 }
-
-func TestStaleKeepChunkReleasesMemory(t *testing.T) {
-	h := newHarness(Config{Cutoff: CutoffUnlimited, ChunkSize: 8})
-	ss := newSession(45009, 80)
-	h.feedNoRelease(ss.syn(), ss.synack(), ss.data([]byte("ABCDEFGH")))
-	var ev event.Event
-	for _, e := range h.events {
-		if e.Type == event.Data {
-			ev = e
-		}
-	}
-	if ev.Accounted == 0 {
-		t.Fatal("no accounted data event")
-	}
-	h.feed(ss.rst()) // stream gone, record recycled
-	before := h.mm.Used()
-	h.e.Control(Ctrl{
-		Op: OpKeepChunk, Stream: ev.Stream, ID: ev.Info.ID,
-		Data: append([]byte(nil), ev.Data...), Accounted: ev.Accounted,
-	})
-	h.feed(newSession(45010, 80).syn()) // drain controls
-	if got := h.mm.Used(); got != before-int64(ev.Accounted) {
-		t.Errorf("stale keep-chunk: used %d, want %d", got, before-int64(ev.Accounted))
-	}
-}

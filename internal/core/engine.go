@@ -105,8 +105,8 @@ func (h *filterHeap) Push(x any)        { *h = append(*h, x.(filterEntry)) }
 func (h *filterHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // Engine is one core's kernel path. The owning goroutine is the only one
-// that may call HandleFrame, HandlePacket, CheckTimers, and Shutdown;
-// Stats and Control are safe from any goroutine.
+// that may call HandleFrame, CheckTimers, and Shutdown; Stats and Control
+// are safe from any goroutine.
 //
 // The ownership analyzer enforces the single-writer rule statically:
 // every method is restricted to the engine role except the //scap:anyrole
@@ -382,15 +382,6 @@ func (e *Engine) handleFrame(data []byte, ts int64) {
 	}
 	p.Timestamp = ts
 	e.handlePacket(p)
-}
-
-// HandlePacket processes an already-decoded packet and flushes staged
-// events before returning.
-//
-//scap:hotpath
-func (e *Engine) HandlePacket(p *pkt.Packet) {
-	e.handlePacket(p)
-	e.flushEvents()
 }
 
 //scap:hotpath
@@ -918,8 +909,7 @@ func (e *Engine) appendData(s *flowtab.Stream, x *streamExt, b []byte, hole bool
 // successor (unless last).
 func (e *Engine) deliverChunk(s *flowtab.Stream, x *streamExt, last bool) {
 	c := &x.chunk
-	hasNew := c.fill() > c.overlapLen || c.extraAcct > 0
-	if !hasNew {
+	if c.fill() == c.overlapLen {
 		if last {
 			e.dropChunk(s, x)
 		}
@@ -1033,7 +1023,7 @@ func (e *Engine) markDirty(s *flowtab.Stream, x *streamExt) {
 	if s.FlushTimeout <= 0 {
 		return
 	}
-	if x.chunk.fill() > x.chunk.overlapLen || x.chunk.extraAcct > 0 {
+	if x.chunk.fill() > x.chunk.overlapLen {
 		e.dirty[s] = struct{}{}
 	}
 }

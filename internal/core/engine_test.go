@@ -123,7 +123,7 @@ func (h *harness) drain() {
 			if ev.Accounted > 0 {
 				h.mm.Release(ev.Accounted)
 			}
-			h.mm.ReturnBlock(h.e.CoreID(), ev.Block)
+			h.mm.ReturnBlocks(h.e.CoreID(), []mem.Handle{ev.Block})
 			ev.Block = mem.NoBlock
 		}
 		h.events = append(h.events, ev)
@@ -676,42 +676,6 @@ func TestControlStaleIDRejected(t *testing.T) {
 	}
 	if !bytes.Contains(got, []byte("fresh")) {
 		t.Error("fresh stream data missing after stale control")
-	}
-}
-
-func TestKeepChunkMergesDeliveries(t *testing.T) {
-	h := newHarness(Config{ChunkSize: 8, Cutoff: CutoffUnlimited})
-	ss := newSession(42005, 80)
-	h.feed(ss.syn(), ss.synack())
-	// First chunk fills with "ABCDEFGH".
-	h.feedNoRelease(ss.data([]byte("ABCDEFGH")))
-	var first event.Event
-	for _, ev := range h.events {
-		if ev.Type == event.Data {
-			first = ev
-		}
-	}
-	if len(first.Data) != 8 {
-		t.Fatalf("first chunk = %q", first.Data)
-	}
-	// Keep it: hand it back to the engine instead of releasing.
-	h.e.Control(Ctrl{
-		Op: OpKeepChunk, Stream: first.Stream, ID: first.Info.ID,
-		Data: append([]byte(nil), first.Data...), Accounted: first.Accounted,
-	})
-	h.feed(ss.data([]byte("IJKLMNOP")), ss.fin(), ss.srvFin())
-	// The merged delivery contains both chunks.
-	var merged []byte
-	for _, ev := range h.byType(event.Data) {
-		if len(ev.Data) >= 16 {
-			merged = ev.Data
-		}
-	}
-	if !bytes.Equal(merged, []byte("ABCDEFGHIJKLMNOP")) {
-		t.Errorf("merged chunk = %q", merged)
-	}
-	if h.mm.Used() != 0 {
-		t.Errorf("leak after keep-chunk: %d", h.mm.Used())
 	}
 }
 

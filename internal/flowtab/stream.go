@@ -99,8 +99,6 @@ type Stream struct {
 
 	// Engine-owned chunk state (opaque to this package).
 	Chunk any
-	// User cookie (sd->user).
-	User any
 
 	// Table-owned placement state. ref is the record's index in the
 	// table's paged record store, assigned once at page allocation and

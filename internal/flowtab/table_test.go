@@ -219,14 +219,14 @@ func TestDynamicGrowthMillionsOfStreams(t *testing.T) {
 func TestRecycleReuse(t *testing.T) {
 	tab := newT()
 	s, _ := tab.GetOrCreate(tk(1, 2), 0)
-	s.User = "cookie"
+	s.Stats.Bytes = 1234
 	tab.Remove(s)
 	tab.Recycle(s)
 	s2, _ := tab.GetOrCreate(tk(3, 4), 0)
 	if s2 != s {
 		t.Log("allocator did not reuse record (allowed, but pool expected)")
 	}
-	if s2.User != nil {
+	if s2.Stats.Bytes != 0 {
 		t.Error("recycled record leaked state")
 	}
 }

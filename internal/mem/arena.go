@@ -1,5 +1,5 @@
 // Arena-backed block allocator: the physical half of the paper's stream
-// memory (§2.2). The Manager's byte accounting (Admit/Reserve/Release) stays
+// memory (§2.2). The Manager's byte accounting (Decide/Reserve/Release) stays
 // the PPL admission front-end; the arena is what makes MemorySize a real
 // bound — every chunk's bytes live in one fixed-size block carved from a
 // budget-sized arena, recycled through per-core free-lists instead of the
@@ -454,14 +454,6 @@ func (m *Manager) freeSlow(c *coreCache, h Handle) {
 	one := [1]int32{int32(h - 1)}
 	a.pushGlobal(one[:])
 	a.inUse.Add(-1)
-}
-
-// ReturnBlock hands one delivered block back from the worker side.
-//
-//scap:produce coreCache
-func (m *Manager) ReturnBlock(core int, h Handle) {
-	hs := [1]Handle{h}
-	m.ReturnBlocks(core, hs[:])
 }
 
 // ReturnBlocks hands delivered blocks back to core's free pool from the

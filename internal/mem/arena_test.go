@@ -57,7 +57,7 @@ func TestArenaNoDoubleHandout(t *testing.T) {
 				if op%2 == 0 {
 					m.FreeBlock(out[h], h)
 				} else {
-					m.ReturnBlock(out[h], h)
+					m.ReturnBlocks(out[h], []Handle{h})
 				}
 				delete(out, h)
 				continue
@@ -105,7 +105,7 @@ func TestArenaRefillSpillConservation(t *testing.T) {
 				out = out[:len(out)-1]
 			case op%4 == 1 && len(out) > 0:
 				i := rng.Intn(len(out))
-				m.ReturnBlock(out[i].core, out[i].h)
+				m.ReturnBlocks(out[i].core, []Handle{out[i].h})
 				out[i] = out[len(out)-1]
 				out = out[:len(out)-1]
 			default:

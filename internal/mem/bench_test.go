@@ -6,20 +6,21 @@ func BenchmarkAdmitUncontended(b *testing.B) {
 	m := New(Config{Size: 1 << 30, Priorities: 2})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if m.Admit(1, 0, 1024) == Admit {
+		if admit(m, 1, 0, 1024) == Admit {
 			m.Release(1024)
 		}
 	}
 }
 
-// BenchmarkMemAdmitParallel contends Admit/Release across GOMAXPROCS — the
-// per-packet PPL decision every core makes against the one shared Manager.
+// BenchmarkMemAdmitParallel contends Decide/Reserve/Release across
+// GOMAXPROCS — the per-packet PPL decision every core makes against the one
+// shared Manager.
 func BenchmarkMemAdmitParallel(b *testing.B) {
 	m := New(Config{Size: 1 << 30, Priorities: 2})
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if m.Admit(1, 0, 1460) == Admit {
+			if admit(m, 1, 0, 1460) == Admit {
 				m.Release(1460)
 			}
 		}

@@ -91,11 +91,11 @@ type Stats struct {
 // buffers live with the streams. One Manager is shared by every core of a
 // Scap socket (the paper uses a single stream-memory buffer), so every core
 // consults it per packet — the accounting is therefore lock-free: used is
-// an atomic counter (Admit reserves with a CAS so a decision and its
-// reservation are one atomic step against the budget), the stats are
-// independent atomic counters, and the runtime-mutable configuration hangs
-// off an atomic.Pointer that readers load once per decision. Only the Set*
-// reconfiguration writers serialize, on cfgMu.
+// an atomic counter (Decide reads it, Reserve and Release move it), the
+// stats are independent atomic counters, and the runtime-mutable
+// configuration hangs off an atomic.Pointer that readers load once per
+// decision. Only the SetWatermarks reconfiguration writer serializes, on
+// cfgMu.
 //
 //scap:shared
 type Manager struct {
@@ -199,28 +199,6 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// SetOverloadCutoff updates the overload cutoff at runtime
-// (scap_set_parameter(SCAP_OVERLOAD_CUTOFF, v)).
-func (m *Manager) SetOverloadCutoff(v int64) {
-	m.cfgMu.Lock()
-	defer m.cfgMu.Unlock()
-	cfg := *m.cfg.Load()
-	cfg.OverloadCutoff = v
-	m.cfg.Store(&cfg)
-}
-
-// SetPriorities updates the number of priority levels in use.
-func (m *Manager) SetPriorities(n int) {
-	if n <= 0 {
-		return
-	}
-	m.cfgMu.Lock()
-	defer m.cfgMu.Unlock()
-	cfg := *m.cfg.Load()
-	cfg.Priorities = n
-	m.cfg.Store(&cfg)
-}
-
 // Watermark returns the memory fraction above which priority level p
 // (0 = lowest) is dropped: watermark_{p+1} in the paper's numbering, where
 // watermark_0 = base_threshold and watermark_n = 1. When an explicit table
@@ -289,47 +267,24 @@ func watermark(cfg *Config, p int) float64 {
 	return base + (1-base)*float64(p+1)/float64(n)
 }
 
-// Admit decides the fate of size payload bytes of a packet with the given
+// Decide decides the fate of size payload bytes of a packet with the given
 // priority (0 = lowest) whose first byte sits at streamPos within its
-// stream. On Admit the bytes are reserved; every other decision reserves
-// nothing. The decision and its reservation commit together via CAS on
-// used, so concurrent admitters can never jointly overshoot the budget.
-//
-//scap:hotpath
-func (m *Manager) Admit(priority int, streamPos int64, size int) Decision {
-	cfg := m.cfg.Load()
-	for {
-		used := m.used.Load()
-		d := decide(cfg, used, priority, streamPos, size)
-		if d != Admit {
-			m.countDrop(d)
-			return d
-		}
-		if m.used.CompareAndSwap(used, used+int64(size)) {
-			m.noteHighWater(used + int64(size))
-			m.admitted.Add(1)
-			return Admit
-		}
-		// Lost the race against another reservation or release; the
-		// decision inputs changed, so re-decide against the new usage.
-	}
-}
-
-// Decide is Admit without the reservation: the engine uses it to gate
-// reassembly, then accounts the actual bytes stored in chunks via Reserve
-// (duplicate and out-of-order bytes never hit the budget twice).
+// stream. It reserves nothing: the engine uses it to gate reassembly, then
+// accounts the actual bytes stored in chunks via Reserve (duplicate and
+// out-of-order bytes never hit the budget twice).
 //
 //scap:hotpath
 func (m *Manager) Decide(priority int, streamPos int64, size int) Decision {
 	d := decide(m.cfg.Load(), m.used.Load(), priority, streamPos, size)
-	if d != Admit {
+	if d == Admit {
+		m.admitted.Add(1)
+	} else {
 		m.countDrop(d)
 	}
 	return d
 }
 
-// decide is the pure PPL function: no state is touched, so callers can
-// retry it inside a CAS loop without double-counting.
+// decide is the pure PPL function: no state is touched.
 func decide(cfg *Config, used int64, priority int, streamPos int64, size int) Decision {
 	if int64(size) > cfg.Size-used {
 		return DropNoMemory

@@ -5,12 +5,22 @@ import (
 	"testing"
 )
 
+// admit is the engine's admission sequence: a PPL decision, then a
+// reservation of the stored bytes when the packet is admitted.
+func admit(m *Manager, priority int, streamPos int64, size int) Decision {
+	d := m.Decide(priority, streamPos, size)
+	if d == Admit {
+		m.Reserve(size)
+	}
+	return d
+}
+
 func TestAdmitBelowBaseThreshold(t *testing.T) {
 	m := New(Config{Size: 1000, BaseThreshold: 0.9, Priorities: 2, OverloadCutoff: 10})
 	// Below base threshold everything is admitted, even beyond the
 	// overload cutoff and at the lowest priority.
 	for i := 0; i < 8; i++ {
-		if d := m.Admit(0, 1<<20, 100); d != Admit {
+		if d := admit(m, 0, 1<<20, 100); d != Admit {
 			t.Fatalf("admission %d = %v", i, d)
 		}
 	}
@@ -41,10 +51,10 @@ func TestLowPriorityDropsFirst(t *testing.T) {
 		t.Fatal("reserve failed")
 	}
 	// 700+100 = 80% > 75%: low priority drops, high admits.
-	if d := m.Admit(0, 0, 100); d != DropPriority {
+	if d := admit(m, 0, 0, 100); d != DropPriority {
 		t.Errorf("low-priority admission = %v, want DropPriority", d)
 	}
-	if d := m.Admit(1, 0, 100); d != Admit {
+	if d := admit(m, 1, 0, 100); d != Admit {
 		t.Errorf("high-priority admission = %v, want Admit", d)
 	}
 }
@@ -54,10 +64,10 @@ func TestOverloadCutoffRegion(t *testing.T) {
 	m.Reserve(600) // 60%: inside pressure region (50%..100%)
 	// A packet early in its stream is admitted; one beyond the overload
 	// cutoff is dropped.
-	if d := m.Admit(0, 100, 50); d != Admit {
+	if d := admit(m, 0, 100, 50); d != Admit {
 		t.Errorf("early bytes = %v", d)
 	}
-	if d := m.Admit(0, 8192, 50); d != DropOverloadCutoff {
+	if d := admit(m, 0, 8192, 50); d != DropOverloadCutoff {
 		t.Errorf("late bytes = %v, want DropOverloadCutoff", d)
 	}
 	if s := m.Stats(); s.DroppedCutoff != 1 {
@@ -68,7 +78,7 @@ func TestOverloadCutoffRegion(t *testing.T) {
 func TestNoMemoryDrop(t *testing.T) {
 	m := New(Config{Size: 100, BaseThreshold: 0.9, Priorities: 1})
 	m.Reserve(100)
-	if d := m.Admit(0, 0, 1); d != DropNoMemory {
+	if d := admit(m, 0, 0, 1); d != DropNoMemory {
 		t.Errorf("decision = %v, want DropNoMemory", d)
 	}
 }
@@ -76,11 +86,11 @@ func TestNoMemoryDrop(t *testing.T) {
 func TestReleaseRestoresAdmission(t *testing.T) {
 	m := New(Config{Size: 1000, BaseThreshold: 0.5, Priorities: 2})
 	m.Reserve(900)
-	if d := m.Admit(0, 0, 50); d != DropPriority {
+	if d := admit(m, 0, 0, 50); d != DropPriority {
 		t.Fatalf("expected drop at 95%%, got %v", d)
 	}
 	m.Release(600) // back to 30%
-	if d := m.Admit(0, 0, 50); d != Admit {
+	if d := admit(m, 0, 0, 50); d != Admit {
 		t.Errorf("post-release decision = %v", d)
 	}
 }
@@ -110,7 +120,7 @@ func TestPPLMonotonicity(t *testing.T) {
 		for p := 0; p < n; p++ {
 			m := New(Config{Size: size, BaseThreshold: base, Priorities: n})
 			m.Reserve(int(used))
-			results[p] = m.Admit(p, 0, pktSize)
+			results[p] = admit(m, p, 0, pktSize)
 		}
 		for p := 1; p < n; p++ {
 			if results[p-1] == Admit && results[p] != Admit {
@@ -125,10 +135,10 @@ func TestHighestPriorityDropsOnlyWhenFull(t *testing.T) {
 	m := New(Config{Size: 1000, BaseThreshold: 0.5, Priorities: 3})
 	m.Reserve(999)
 	// Highest priority watermark is 1.0: a packet that fits is admitted.
-	if d := m.Admit(2, 0, 1); d != Admit {
+	if d := admit(m, 2, 0, 1); d != Admit {
 		t.Errorf("decision = %v", d)
 	}
-	if d := m.Admit(2, 0, 1); d != DropNoMemory {
+	if d := admit(m, 2, 0, 1); d != DropNoMemory {
 		t.Errorf("decision = %v", d)
 	}
 }

@@ -100,11 +100,13 @@ const (
 
 // Config configures a capture socket at creation (scap_create).
 type Config struct {
-	// MemorySize is the stream-memory budget in bytes (default 1 GiB). It
-	// is a physical bound: the budget is carved into one arena of
-	// fixed-size blocks (sized from the chunk size plus overlap headroom)
-	// that hold every chunk under construction and in flight; when no block
-	// is free, payload is shed like a DropNoMemory PPL decision.
+	// MemorySize is the stream-memory budget in bytes (default 1 GiB). PPL
+	// admission is bounded by the bytes stored in chunks, counted against
+	// it. The budget is also carved into one arena of fixed-size blocks
+	// (sized from the chunk size plus overlap headroom) that hold every
+	// chunk under construction and in flight; when no block is free, the
+	// chunk is built in a heap buffer instead and arena_exhausted_total
+	// counts it — admitted payload is never shed for want of a block.
 	MemorySize int64
 	// ReassemblyMode selects strict or fast TCP reassembly.
 	ReassemblyMode ReassemblyMode

@@ -2,6 +2,8 @@ package scap
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -240,6 +242,117 @@ func TestKeepChunkMerging(t *testing.T) {
 	defer mu.Unlock()
 	if maxChunk <= 256 {
 		t.Errorf("max chunk %d — keep-chunk merging never grew a chunk", maxChunk)
+	}
+}
+
+// clientISN is injectClientStream's client initial sequence number:
+// payload byte i travels at sequence number clientISN+1+i.
+const clientISN = 1000
+
+// injectClientStream injects one TCP connection to port 80 whose client
+// sends payload in segments of varying size, then closes both directions.
+func injectClientStream(t *testing.T, h *Handle, port uint16, payload []byte) {
+	t.Helper()
+	key := FlowKey{
+		SrcIP: pkt.MustAddr("10.1.0.1"), DstIP: pkt.MustAddr("10.1.0.2"),
+		SrcPort: port, DstPort: 80, Proto: pkt.ProtoTCP,
+	}
+	const srvISN = 9000
+	ts := int64(0)
+	send := func(spec pkt.TCPSpec) {
+		ts += 1000
+		if err := h.InjectFrame(pkt.BuildTCP(spec), ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(pkt.TCPSpec{Key: key, Seq: clientISN, Flags: pkt.FlagSYN})
+	send(pkt.TCPSpec{Key: key.Reverse(), Seq: srvISN, Ack: clientISN + 1, Flags: pkt.FlagSYN | pkt.FlagACK})
+	segs := []int{100, 37, 150, 73, 200, 61}
+	off := 0
+	for i := 0; off < len(payload); i++ {
+		n := min(segs[i%len(segs)], len(payload)-off)
+		send(pkt.TCPSpec{Key: key, Seq: clientISN + 1 + uint32(off), Ack: srvISN + 1,
+			Flags: pkt.FlagACK | pkt.FlagPSH, Payload: payload[off : off+n]})
+		off += n
+	}
+	end := clientISN + 1 + uint32(len(payload))
+	send(pkt.TCPSpec{Key: key, Seq: end, Ack: srvISN + 1, Flags: pkt.FlagFIN | pkt.FlagACK})
+	send(pkt.TCPSpec{Key: key.Reverse(), Seq: srvISN + 1, Ack: end + 1, Flags: pkt.FlagFIN | pkt.FlagACK})
+}
+
+// randomPayload returns n seeded pseudo-random bytes: any run of a few
+// dozen bytes occurs once, so a delivered slice pins its stream position.
+func randomPayload(seed int64, n int) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
+}
+
+// TestKeepChunkMergeIsContiguous keeps every chunk below 600 bytes and
+// checks each delivery against the stream the client sent: a merged Data
+// must be the stream bytes that end at the captured-byte count (the kept
+// chunk plus only the new bytes of its successor, never the overlap tail
+// twice), and every packet record must locate its own payload within the
+// merged Data.
+func TestKeepChunkMergeIsContiguous(t *testing.T) {
+	for _, overlap := range []int64{0, 32} {
+		t.Run(fmt.Sprintf("overlap=%d", overlap), func(t *testing.T) {
+			h, err := Create(Config{Queues: 1, NeedPkts: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.SetParameter(ParamChunkSize, 256)
+			h.SetParameter(ParamOverlapSize, overlap)
+			stream := randomPayload(overlap+1, 4000)
+			var mu sync.Mutex
+			var merged, records int
+			var bad []string
+			h.DispatchData(func(sd *Stream) {
+				mu.Lock()
+				defer mu.Unlock()
+				if sd.Key().DstPort != 80 {
+					return
+				}
+				end := int(sd.Stats().CapturedBytes)
+				start := end - len(sd.Data)
+				if start < 0 || !bytes.Equal(sd.Data, stream[start:end]) {
+					bad = append(bad, fmt.Sprintf("chunk %d: %d bytes ending at %d are not stream[%d:%d]",
+						sd.Chunks(), len(sd.Data), end, start, end))
+				}
+				if len(sd.Data) > 256 {
+					merged++
+				}
+				for pi := sd.NextPacket(); pi != nil; pi = sd.NextPacket() {
+					if pi.Payload == nil {
+						continue
+					}
+					records++
+					off := int(pi.Seq - clientISN - 1)
+					if off < 0 || off+len(pi.Payload) > len(stream) || !bytes.Equal(pi.Payload, stream[off:off+len(pi.Payload)]) {
+						bad = append(bad, fmt.Sprintf("chunk %d: packet seq %d payload is not stream[%d:%d]",
+							sd.Chunks(), pi.Seq, off, off+len(pi.Payload)))
+					}
+				}
+				if !sd.Last && len(sd.Data) < 600 {
+					sd.KeepChunk()
+				}
+			})
+			if err := h.StartCapture(); err != nil {
+				t.Fatal(err)
+			}
+			injectClientStream(t, h, 41000, stream)
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, b := range bad {
+				t.Error(b)
+			}
+			if merged == 0 || records == 0 {
+				t.Errorf("%d merged deliveries, %d packet records checked", merged, records)
+			}
+		})
 	}
 }
 

@@ -195,11 +195,15 @@ func (sd *Stream) SetInactivityTimeout(ns int64) {
 
 // KeepChunk keeps the current chunk in memory so the next data event
 // delivers it merged with the following data (scap_keep_stream_chunk).
-// Only meaningful inside a data callback. The chunk's arena block (and its
-// stream-memory charge) is retained by the worker instead of being
-// recycled: the next chunk's bytes are appended into the kept block's free
-// room — blocks carry headroom above the chunk size for exactly this — and
-// the merge moves to the heap only if it outgrows the block.
+// Only meaningful inside a data callback. The merged Data is contiguous
+// stream bytes: with a chunk overlap, the next chunk's repeated prefix is
+// not appended a second time. NextPacket on a merged delivery lists the
+// new chunk's packet records, located within the merged Data. The chunk's
+// arena block (and its stream-memory charge) is retained by the worker
+// instead of being recycled: the next chunk's bytes are appended into the
+// kept block's free room — blocks carry headroom above the chunk size for
+// exactly this — and the merge moves to the heap only if it outgrows the
+// block.
 func (sd *Stream) KeepChunk() { sd.keep = true }
 
 func (sd *Stream) control(c core.Ctrl) {
